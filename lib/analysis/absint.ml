@@ -910,11 +910,13 @@ let pairs_pred (pairs : (Expr.col_ref * Expr.col_ref) list) : Expr.t list =
     (fun (a, b) -> Expr.Cmp (Expr.Eq, Expr.Col a, Expr.Col b))
     pairs
 
-(* [record] sees every node's state during the single bottom-up pass, so
-   [annotate_plan] costs the same as [of_plan] rather than re-analyzing
-   each subtree per node. *)
+(* [record ()] claims a node's preorder slot on entry (children are
+   analyzed in [Exec.Plan.children] order) and returns the setter for its
+   state, so [annotate_plan] costs the same single bottom-up pass as
+   [of_plan] rather than re-analyzing each subtree per node. *)
 let rec of_plan_rec ?db ~record (cat : Storage.Catalog.t) (p : Exec.Plan.t) :
   state =
+  let set = record () in
   let scan_of table alias =
     scan ?db ~table ~alias
       (Schema.requalify
@@ -973,7 +975,7 @@ let rec of_plan_rec ?db ~record (cat : Storage.Catalog.t) (p : Exec.Plan.t) :
     | Exec.Plan.Hash_distinct i ->
       distinct (of_plan_rec ?db ~record cat i)
   in
-  record p st;
+  set st;
   st
 
 and plan_join ?db ~record cat kind conjuncts left right =
@@ -991,13 +993,20 @@ and plan_join ?db ~record cat kind conjuncts left right =
   | Algebra.Anti -> semi_join ~anti:true l r pred
 
 let of_plan ?db (cat : Storage.Catalog.t) (p : Exec.Plan.t) : state =
-  of_plan_rec ?db ~record:(fun _ _ -> ()) cat p
+  of_plan_rec ?db ~record:(fun () -> ignore) cat p
 
 let annotate_plan ?db (cat : Storage.Catalog.t) (p : Exec.Plan.t) :
   (Exec.Plan.t * state) list =
-  let acc = ref [] in
-  ignore (of_plan_rec ?db ~record:(fun n st -> acc := (n, st) :: !acc) cat p);
-  List.map (fun node -> (node, List.assq node !acc)) (Exec.Plan.preorder p)
+  let nodes = Exec.Plan.preorder p in
+  let states = Array.make (List.length nodes) None in
+  let next = ref 0 in
+  let record () =
+    let i = !next in
+    incr next;
+    fun st -> states.(i) <- Some st
+  in
+  ignore (of_plan_rec ?db ~record cat p);
+  List.mapi (fun i node -> (node, Option.get states.(i))) nodes
 
 let pp_state ppf (st : state) =
   Fmt.pf ppf "@[<v>env %a%a@]" pp_envelope st.env

@@ -93,8 +93,7 @@ val of_query : ?db:Stats.Table_stats.db -> Rewrite.Qgm.query -> state
 
 val of_algebra : ?db:Stats.Table_stats.db -> Algebra.t -> state
 
-(** Every node of the tree with its analysis, preorder ([==] identity,
-    like [Obs.Est]). *)
+(** Every node of the tree with its analysis, preorder ([==] identity). *)
 val annotate_algebra :
   ?db:Stats.Table_stats.db -> Algebra.t -> (Algebra.t * state) list
 

@@ -68,23 +68,17 @@ let logical ?asm (db : Stats.Table_stats.db) (a : Algebra.t) : Diag.t list
             rs.Stats.Derive.card)
       annotated
 
-let physical ?asm ?est_of (cat : Storage.Catalog.t)
+let physical ~(est : Obs.Est.t) (cat : Storage.Catalog.t)
     (db : Stats.Table_stats.db) (p : Exec.Plan.t) : Diag.t list =
-  let est =
-    match est_of with
-    | Some f -> f
-    | None -> (
-      match Obs.Est.annotate ?asm cat db p with
-      | exception _ -> fun _ -> None
-      | ann -> fun node -> Obs.Est.card ann node)
-  in
   match Absint.annotate_plan ~db cat p with
   | exception _ -> []
   | annotated ->
-    List.concat_map
-      (fun (node, (st : Absint.state)) ->
-        match est node with
-        | exception _ -> []
-        | None -> []
-        | Some c -> check ~label:(Exec.Plan.describe node) st.Absint.env c)
-      annotated
+    (* both lists are in preorder: node [i] is estimate [i] *)
+    List.concat
+      (List.mapi
+         (fun i (node, (st : Absint.state)) ->
+           if i >= Array.length est then []
+           else
+             check ~label:(Exec.Plan.describe node) st.Absint.env
+               est.(i).Obs.Est.rows)
+         annotated)

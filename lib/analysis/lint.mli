@@ -18,12 +18,11 @@ val logical :
   Relalg.Algebra.t ->
   Verify.Diag.t list
 
-(** Lint a physical plan: [Obs.Est] estimates vs analyzer envelopes,
-    per operator.  [est_of] overrides the estimate source (used by the
-    mutation tests to seed a corrupted estimator).  Never raises. *)
+(** Lint a physical plan: the estimates [est] (an {!Obs.Est.annotate}
+    result for this plan, node [i] in preorder) vs analyzer envelopes,
+    per operator.  Never raises. *)
 val physical :
-  ?asm:Stats.Derive.assumption ->
-  ?est_of:(Exec.Plan.t -> float option) ->
+  est:Obs.Est.t ->
   Storage.Catalog.t ->
   Stats.Table_stats.db ->
   Exec.Plan.t ->

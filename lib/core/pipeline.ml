@@ -123,10 +123,8 @@ let effective_rewrites (config : config) : Rewrite.Rules.t list list =
 
 (* All engines produce bit-identical rows and Context accounting; the
    interpreter remains the differential-testing oracle.  At dop > 1 the
-   two-phase segment schedule decides each node's parallelism; if
-   deriving it fails (e.g. missing statistics) the morsel engine runs
-   every eligible node at the full dop — either way results are exact. *)
-let exec_plan config ~ctx ?obs ?sketch cat db plan =
+   two-phase segment schedule decides each node's parallelism. *)
+let exec_plan config ~ctx ?obs ?sketch cat plan =
   match config.engine with
   | `Interpreted ->
     (* the tuple interpreter has no columnar scan to hook sketches into *)
@@ -134,15 +132,11 @@ let exec_plan config ~ctx ?obs ?sketch cat db plan =
   | `Batch ->
     if config.dop > 1 then
       let schedule =
-        try
-          Some
-            (Parallel.Two_phase.node_dop
-               { Parallel.Two_phase.default_config with
-                 processors = config.dop }
-               cat db plan)
-        with _ -> None
+        Parallel.Two_phase.node_dop
+          { Parallel.Two_phase.default_config with processors = config.dop }
+          cat plan
       in
-      Exec.Morsel.run ~ctx ?obs ?sketch ?schedule ~morsel:config.morsel_rows
+      Exec.Morsel.run ~ctx ?obs ?sketch ~schedule ~morsel:config.morsel_rows
         ~chunk_rows:config.chunk_rows ~dop:config.dop cat plan
     else
       Exec.Batch.run ~ctx ?obs ?sketch ~chunk_rows:config.chunk_rows cat plan
@@ -299,15 +293,6 @@ type report = {
          [] unless [config.instrument] and the block was planned *)
   trace_events : Obs.Trace.event list;
       (* optimizer trace in emission order; [] unless [config.instrument] *)
-  stats_at_plan : Stats.Table_stats.db option;
-      (* shallow copy of the statistics registry as the planner saw it
-         (bindings are immutable records, so a copy is a true snapshot).
-         Re-annotating the plan later — after an ANALYZE refresh — must
-         use this, not the live registry: [Obs.Est] re-synthesizes
-         index-scan bound selectivities from whatever stats it is
-         handed, and against refreshed stats the reported "estimates"
-         would be numbers the planner never produced.  None on the
-         interpreted path. *)
   span : Obs.Span.t option;
       (* this block's span subtree (rewrite / optimize / verify /
          execute children), closed by the time the report is returned;
@@ -363,7 +348,7 @@ let rec materialize_source ~on_plan ~trace ~exec_views ~on_view ctx config cat
     in
     let table = Storage.Catalog.create_table cat ~name:tmp_name ~columns in
     if exec_views then begin
-      let result = exec_plan config ~ctx cat db plan in
+      let result = exec_plan config ~ctx cat plan in
       Array.iter (Storage.Table.insert table) result.Exec.Executor.rows;
       (* writing the temporary costs its pages *)
       Exec.Context.charge_spill ctx (Storage.Table.page_count table);
@@ -374,7 +359,7 @@ let rec materialize_source ~on_plan ~trace ~exec_views ~on_view ctx config cat
         Obs.Est.annotate ~asm:config.join_config.Systemr.Join_order.asm cat db
           plan
       in
-      let rows = Option.value (Obs.Est.card est plan) ~default:0. in
+      let rows = est.(0).Obs.Est.rows in
       let pages =
         Storage.Page.pages_for ~rows:(int_of_float (Float.ceil rows)) schema
       in
@@ -632,37 +617,39 @@ let run_block ~ctx ~config (cat : Storage.Catalog.t)
       stage config "optimize" @@ fun () ->
       plan_block ~on_plan:h.on_plan ?trace:h.trace ctx config cat db rewritten
     in
-    (* snapshot the statistics the planner consulted — view temporaries
-       included — before execution can change anything *)
-    let stats_at_plan = Hashtbl.copy db in
+    let feedback =
+      match config.estimator with `Feedback fb -> Some fb | _ -> None
+    in
+    (* the one estimate pass, shared by the instrument attach, the lint
+       and feedback recording.  It runs now, at plan time: view
+       temporaries are still registered and nothing has refreshed the
+       statistics the planner used; with feedback it applies the same
+       overrides the planner did *)
+    let est =
+      if config.instrument || config.analysis || feedback <> None then
+        Some
+          (Obs.Est.annotate ~asm:config.join_config.Systemr.Join_order.asm
+             ?feedback cat db plan)
+      else None
+    in
     (* provable-bound lint: only here, while view temporaries are still
        registered with exact (ANALYZE-derived) statistics — the EXPLAIN
        path fabricates temp statistics from estimates, which would make
        the envelope itself unsound *)
-    if config.analysis then
-      stage config "verify" (fun () ->
-        h.diags :=
-          !(h.diags)
-          @ Analysis.Lint.physical
-              ~asm:config.join_config.Systemr.Join_order.asm cat db plan);
-    let feedback =
-      match config.estimator with `Feedback fb -> Some fb | _ -> None
-    in
+    (match est with
+     | Some est when config.analysis ->
+       stage config "verify" (fun () ->
+         h.diags := !(h.diags) @ Analysis.Lint.physical ~est cat db plan)
+     | _ -> ());
     let recorder =
       (* feedback mode needs per-operator actuals even without EXPLAIN
          ANALYZE — the recorder is how observed cardinalities reach the
          cache *)
       if config.instrument || feedback <> None then begin
         let r = Exec.Instrument.create plan in
-        (* estimates must be derived while view temporaries are still in
-           the catalog and statistics registry, and against the plan-time
-           stats snapshot; with feedback, annotation applies the same
-           overrides the planner used *)
-        if config.instrument then
-          Obs.Est.attach
-            (Obs.Est.annotate ~asm:config.join_config.Systemr.Join_order.asm
-               ?feedback cat stats_at_plan plan)
-            r;
+        (match est with
+         | Some est when config.instrument -> Obs.Est.attach est r
+         | _ -> ());
         Some r
       end
       else None
@@ -683,7 +670,7 @@ let run_block ~ctx ~config (cat : Storage.Catalog.t)
               | `Batch -> if config.dop > 1 then "morsel" else "batch" );
             ("dop", string_of_int config.dop) ]
         "execute"
-      @@ fun () -> exec_plan config ~ctx ?obs:recorder ?sketch cat db plan
+      @@ fun () -> exec_plan config ~ctx ?obs:recorder ?sketch cat plan
     in
     (match sketching with
      | Some (reg, (_, pending)) ->
@@ -693,13 +680,12 @@ let run_block ~ctx ~config (cat : Storage.Catalog.t)
     (* feed observed per-operator cardinalities back into the cache while
        temps are still present (their subtrees are skipped by keying, but
        the base-table fingerprints must reflect the planned state) *)
-    (match (feedback, recorder) with
-     | Some fb, Some r ->
-       let keys = Obs.Est.feedback_keys plan in
+    (match (feedback, recorder, est) with
+     | Some fb, Some r, Some est ->
        List.iter
          (fun (op : Exec.Instrument.op) ->
             if op.Exec.Instrument.executed then
-              match List.assq_opt op.Exec.Instrument.node keys with
+              match est.(op.Exec.Instrument.id).Obs.Est.fb_key with
               | None -> ()
               | Some (k, tables) ->
                 let act = float_of_int op.Exec.Instrument.act_rows in
@@ -734,7 +720,6 @@ let run_block ~ctx ~config (cat : Storage.Catalog.t)
            | Some r when config.instrument -> Exec.Instrument.ops r
            | _ -> []);
         trace_events = List.rev !(h.events);
-        stats_at_plan = Some stats_at_plan;
         span = blk_span },
       recorder )
   end
@@ -751,7 +736,6 @@ let run_block ~ctx ~config (cat : Storage.Catalog.t)
       { rewritten; trace; path = Interpreted; plan = None; est_cost = 0.;
         enum = Systemr.Join_order.counters_zero; diags = !(h.diags);
         op_stats = []; trace_events = List.rev !(h.events);
-        stats_at_plan = None;
         span = blk_span },
       None )
   end

@@ -26,7 +26,8 @@ type config = {
       analyzer-backed rewrite rules ([Analysis.Simplify.rules]: folding
       provably-empty subtrees, transitive range closure) as a final rule
       class, and lints every executed physical plan's cardinality
-      estimates against the analyzer's sound envelope
+      estimates — the {!Obs.Est} ones EXPLAIN ANALYZE reports, feedback
+      overrides included — against the analyzer's sound envelope
       ([est-above-envelope] / [est-below-envelope] warnings,
       [est-zero-nonempty] errors) into [report.diags] *)
   dop : int;
@@ -96,20 +97,14 @@ type report = {
   op_stats : Exec.Instrument.op list;
   (** per-operator actuals in pre-order (estimated vs. actual rows,
       rescans, counter deltas, wall-clock); [[]] unless
-      [config.instrument] and the block was planned *)
+      [config.instrument] and the block was planned.  Estimates are
+      attached at plan time, so a later statistics refresh leaves them
+      as the planner saw them *)
   trace_events : Obs.Trace.event list;
   (** optimizer trace (rewrites fired/rejected, per-level enumeration
       counters, prunes, interesting-order retentions, memo statistics,
       feedback records/overrides) in emission order; [[]] unless
       [config.instrument] *)
-  stats_at_plan : Stats.Table_stats.db option;
-  (** snapshot of the statistics registry as the planner saw it (view
-      temporaries included).  Re-annotating the plan after an ANALYZE
-      refresh must use this, not the live registry — {!Obs.Est}
-      re-synthesizes index-scan bound selectivities from the stats it is
-      handed, and against refreshed stats the "estimates" would be
-      numbers the planner never produced.  [None] on the interpreted
-      path. *)
   span : Obs.Span.t option;
   (** this block's span subtree (rewrite / optimize / verify / execute
       children), closed by the time the report is returned; [None]

@@ -1,16 +1,26 @@
-(* Post-hoc cardinality annotation of physical plans.
+(* Post-hoc estimates for physical plans.
 
    The enumerator costs logical subsets, not physical nodes, so the
-   per-node estimates EXPLAIN ANALYZE compares against are re-derived
-   here: one bottom-up pass over the final plan through the same
-   [Stats.Derive] propagation the optimizer used.  The pass is pure —
-   it returns a lookup by physical node identity — and must run while
-   the catalog/stats still contain any temporary tables the plan scans
-   (materialized views are dropped after execution). *)
+   per-node estimates EXPLAIN ANALYZE, the provable-bound lint, feedback
+   recording and the two-phase parallel scheduler read are derived here:
+   one bottom-up pass over the final plan through the same
+   [Stats.Derive] propagation and [Cost.Cost_model] formulas the
+   optimizer used.  The result is an array in [Exec.Plan.preorder]
+   order, so consumers line nodes up by position (the operator id of
+   [Exec.Instrument]).  Must run while the catalog/stats still contain
+   any temporary tables the plan scans (materialized views are dropped
+   after execution). *)
 
 open Relalg
 
-type t = (Exec.Plan.t * Stats.Derive.rel_stats) list
+type node = {
+  rows : float;
+  pages : float;
+  work : float;
+  fb_key : (Stats.Feedback.key * string list) option;
+}
+
+type t = node array
 
 let conj a b =
   match (a, b) with
@@ -86,10 +96,13 @@ let canon_conjuncts (e : Expr.t) : string list =
        | c -> Some (Stats.Feedback.canon_pred c))
     (Pred.conjuncts e)
 
+(* Keys by preorder position; children are visited in
+   [Exec.Plan.children] order so the position counter matches. *)
 let feedback_keys (plan : Exec.Plan.t) :
-  (Exec.Plan.t * (Stats.Feedback.key * string list)) list =
+  (Stats.Feedback.key * string list) option array =
   let module P = Exec.Plan in
-  let acc = ref [] in
+  let keys = Array.make (List.length (P.preorder plan)) None in
+  let next = ref 0 in
   let spj_key sub =
     Stats.Feedback.key ~shape:"spj" ~rels:sub.srels ~preds:sub.spreds
   in
@@ -117,13 +130,15 @@ let feedback_keys (plan : Exec.Plan.t) :
                     stables = a.stables @ b.stables }
   in
   let rec go (p : P.t) : sub option =
+    let id = !next in
+    incr next;
     let record_spj sub =
-      acc := (p, (spj_key sub, sub.stables)) :: !acc;
+      keys.(id) <- Some (spj_key sub, sub.stables);
       Some sub
     in
     let record_shaped shape sub =
       let key, sub' = shaped shape sub in
-      acc := (p, (key, sub.stables)) :: !acc;
+      keys.(id) <- Some (key, sub.stables);
       Some sub'
     in
     let join_sub kind ~outer ~inner ~preds =
@@ -162,11 +177,13 @@ let feedback_keys (plan : Exec.Plan.t) :
     | P.Hash_distinct i ->
       Option.bind (go i) (record_shaped "distinct")
     | P.Nested_loop { kind; pred; outer; inner } ->
-      join_sub kind ~outer:(go outer) ~inner:(go inner)
-        ~preds:(canon_conjuncts pred)
+      let outer = go outer in
+      let inner = go inner in
+      join_sub kind ~outer ~inner ~preds:(canon_conjuncts pred)
     | P.Index_nl { kind; outer; table; alias; columns; outer_keys; residual; _ }
       ->
-      if is_temp_table table then (ignore (go outer); None)
+      let outer = go outer in
+      if is_temp_table table then None
       else
         let inner =
           Some { srels = [ (alias, table) ]; spreds = []; stables = [ table ] }
@@ -178,11 +195,12 @@ let feedback_keys (plan : Exec.Plan.t) :
                  (Expr.Cmp (Expr.Eq, k, Expr.col ~rel:alias ~col:c)))
             outer_keys columns
         in
-        join_sub kind ~outer:(go outer) ~inner
-          ~preds:(eqs @ canon_conjuncts residual)
+        join_sub kind ~outer ~inner ~preds:(eqs @ canon_conjuncts residual)
     | P.Merge_join { kind; pairs; residual; left; right }
     | P.Hash_join { kind; pairs; residual; left; right } ->
-      join_sub kind ~outer:(go left) ~inner:(go right)
+      let outer = go left in
+      let inner = go right in
+      join_sub kind ~outer ~inner
         ~preds:(canon_conjuncts (pairs_pred pairs residual))
     | P.Hash_agg { keys; aggs = _; input } | P.Stream_agg { keys; aggs = _; input }
       ->
@@ -195,54 +213,97 @@ let feedback_keys (plan : Exec.Plan.t) :
       Option.bind (go input) (record_shaped shape)
   in
   ignore (go plan);
-  !acc
+  keys
 
-let annotate ?asm ?feedback (cat : Storage.Catalog.t)
-    (db : Stats.Table_stats.db) (plan : Exec.Plan.t) : t =
+(* ------------------------------------------------------------------ *)
+(* The estimate pass *)
+
+let annotate ?asm ?feedback ?(params = Cost.Cost_model.default_params)
+    (cat : Storage.Catalog.t) (db : Stats.Table_stats.db) (plan : Exec.Plan.t)
+  : t =
   let module P = Exec.Plan in
+  let module Cm = Cost.Cost_model in
   let keys =
-    match feedback with None -> [] | Some _ -> feedback_keys plan
-  in
-  let override (p : P.t) (s : Stats.Derive.rel_stats) =
     match feedback with
-    | None -> s
-    | Some fb -> (
-      match List.assq_opt p keys with
-      | None -> s
-      | Some (k, _) -> (
+    | None -> [||]
+    | Some _ -> feedback_keys plan
+  in
+  let out =
+    Array.make (List.length (P.preorder plan))
+      { rows = 0.; pages = 0.; work = 0.; fb_key = None }
+  in
+  let next = ref 0 in
+  let select s f = Stats.Derive.apply_select ?asm s f in
+  let card (s : Stats.Derive.rel_stats) = s.Stats.Derive.card in
+  let pages = Stats.Derive.pages in
+  let table_pages table =
+    float_of_int (Storage.Table.page_count (Storage.Catalog.table cat table))
+  in
+  let clustered = function
+    | Some (i : Storage.Btree.t) -> i.Storage.Btree.clustered
+    | None -> false
+  in
+  let rec go (p : P.t) : Stats.Derive.rel_stats =
+    let id = !next in
+    incr next;
+    let fb_key = match feedback with None -> None | Some _ -> keys.(id) in
+    (* feedback overrides this node's derived cardinality with a fresh
+       observed one, propagating upward exactly as in the optimizer *)
+    let fin (s : Stats.Derive.rel_stats) =
+      match (feedback, fb_key) with
+      | Some fb, Some (k, _) -> (
         match Stats.Feedback.lookup fb ~db k with
         | Some act -> { s with Stats.Derive.card = act }
-        | None -> s))
-  in
-  let acc : t ref = ref [] in
-  let rec go (p : P.t) : Stats.Derive.rel_stats =
-    let s =
+        | None -> s)
+      | _ -> s
+    in
+    let s, work =
       match p with
       | P.Seq_scan { table; alias; filter } ->
         let base = table_stats cat db table alias in
-        (match filter with
-         | None -> base
-         | Some f -> Stats.Derive.apply_select ?asm base f)
+        let s =
+          fin (match filter with None -> base | Some f -> select base f)
+        in
+        (s, Cm.seq_scan params ~pages:(table_pages table) ~rows:(card base))
       | P.Index_scan { table; alias; column; lo; hi; filter } ->
         let base = table_stats cat db table alias in
         let ranged =
           match bound_pred alias column lo hi with
           | Expr.Const (Value.Bool true) -> base
-          | pred -> Stats.Derive.apply_select ?asm base pred
+          | pred -> select base pred
         in
-        (match filter with
-         | None -> ranged
-         | Some f -> Stats.Derive.apply_select ?asm ranged f)
-      | P.Filter (f, i) -> Stats.Derive.apply_select ?asm (go i) f
-      | P.Project (items, i) -> Stats.Derive.project (go i) items
-      | P.Sort (_, i) | P.Materialize i -> go i
-      | P.Hash_distinct i -> Stats.Derive.distinct (go i)
+        let s =
+          fin (match filter with None -> ranged | Some f -> select ranged f)
+        in
+        ( s,
+          Cm.index_scan params
+            ~clustered:
+              (clustered (Storage.Catalog.index_on cat ~table ~column))
+            ~pages:(table_pages table) ~rows:(card base)
+            ~matches:(card ranged) )
+      | P.Filter (f, i) ->
+        let si = go i in
+        (fin (select si f), Cm.filter params ~rows:(card si))
+      | P.Project (items, i) ->
+        let si = go i in
+        (fin (Stats.Derive.project si items), Cm.project params ~rows:(card si))
+      | P.Sort (_, i) ->
+        let si = go i in
+        (fin si, Cm.sort params ~pages:(pages si) ~rows:(card si))
+      | P.Materialize i ->
+        let si = go i in
+        (fin si, params.Cm.seq_page *. pages si)
+      | P.Hash_distinct i ->
+        let si = go i in
+        (fin (Stats.Derive.distinct si), Cm.hash_distinct params ~rows:(card si))
       | P.Nested_loop { kind; pred; outer; inner } ->
         let so = go outer in
         let si = go inner in
-        Stats.Derive.join ?asm kind so si pred
-      | P.Index_nl { kind; outer; table; alias; columns; outer_keys; residual; _ }
-        ->
+        ( fin (Stats.Derive.join ?asm kind so si pred),
+          Cm.nested_loop params ~outer_rows:(card so) ~inner_rows:(card si)
+            ~inner_pages:(pages si) )
+      | P.Index_nl
+          { kind; outer; table; alias; index; columns; outer_keys; residual } ->
         let so = go outer in
         let si = table_stats cat db table alias in
         let pred =
@@ -252,34 +313,46 @@ let annotate ?asm ?feedback (cat : Storage.Catalog.t)
                  (Expr.Cmp (Expr.Eq, k, Expr.col ~rel:alias ~col:c)))
             residual outer_keys columns
         in
-        Stats.Derive.join ?asm kind so si pred
-      | P.Merge_join { kind; pairs; residual; left; right }
+        let s = fin (Stats.Derive.join ?asm kind so si pred) in
+        ( s,
+          Cm.index_nl params ~outer_rows:(card so) ~inner_rows:(card si)
+            ~inner_pages:(table_pages table)
+            ~matches_per_probe:(card s /. Float.max 1. (card so))
+            ~clustered:
+              (clustered (Storage.Catalog.index_named cat ~table ~name:index))
+        )
+      | P.Merge_join { kind; pairs; residual; left; right } ->
+        let sl = go left in
+        let sr = go right in
+        let s = fin (Stats.Derive.join ?asm kind sl sr (pairs_pred pairs residual)) in
+        ( s,
+          Cm.merge_join params ~left_rows:(card sl) ~right_rows:(card sr)
+            ~out_rows:(card s) )
       | P.Hash_join { kind; pairs; residual; left; right } ->
         let sl = go left in
         let sr = go right in
-        Stats.Derive.join ?asm kind sl sr (pairs_pred pairs residual)
-      | P.Hash_agg { keys; aggs; input } | P.Stream_agg { keys; aggs; input }
-        ->
-        Stats.Derive.group (go input) ~keys ~aggs
+        let s = fin (Stats.Derive.join ?asm kind sl sr (pairs_pred pairs residual)) in
+        ( s,
+          Cm.hash_join params ~left_rows:(card sl) ~right_rows:(card sr)
+            ~left_pages:(pages sl) ~right_pages:(pages sr) ~out_rows:(card s) )
+      | P.Hash_agg { keys; aggs; input } ->
+        let si = go input in
+        let s = fin (Stats.Derive.group si ~keys ~aggs) in
+        (s, Cm.hash_agg params ~rows:(card si) ~groups:(card s))
+      | P.Stream_agg { keys; aggs; input } ->
+        let si = go input in
+        (fin (Stats.Derive.group si ~keys ~aggs), Cm.stream_agg params ~rows:(card si))
     in
-    let s = override p s in
-    acc := (p, s) :: !acc;
+    out.(id) <- { rows = card s; pages = pages s; work; fb_key };
     s
   in
   ignore (go plan);
-  !acc
+  out
 
-let card (t : t) (p : Exec.Plan.t) : float option =
-  let rec find = function
-    | [] -> None
-    | (q, s) :: rest ->
-      if q == p then Some s.Stats.Derive.card else find rest
-  in
-  find t
-
-(* Push estimates onto an instrument recorder's operators. *)
+(* Push estimates onto an instrument recorder's operators: both number
+   nodes in preorder, so operator [id] is node [id]. *)
 let attach (t : t) (r : Exec.Instrument.t) : unit =
   List.iter
     (fun (o : Exec.Instrument.op) ->
-       o.Exec.Instrument.est_rows <- card t o.Exec.Instrument.node)
+       o.Exec.Instrument.est_rows <- Some t.(o.Exec.Instrument.id).rows)
     (Exec.Instrument.ops r)

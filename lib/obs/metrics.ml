@@ -13,12 +13,23 @@
    bounded relative error (any percentile read from bucket bounds is
    within 2x of the true order statistic) over an unbounded range with a
    handful of live buckets — the standard trick for latency and q-error
-   distributions, which span many decades. *)
+   distributions, which span many decades.  Every histogram holds one
+   slot per exponent in [min_exp, max_exp], allocated with it, so an
+   observation never allocates a bucket. *)
+
+(* Exponent of the power-of-two bucket containing [v]: the smallest [e]
+   with [v <= 2^e].  Non-positive and non-finite observations clamp to
+   the extreme buckets.  [frexp v = (m, e)] has [v = m * 2^e] with
+   [0.5 <= m < 1], so [v <= 2^e] and, except at exact powers of two
+   (m = 0.5, which belong one bucket down), [v > 2^(e-1)]. *)
+let min_exp = -40 (* 2^-40 s ~ 1 ps: smaller observations merge here *)
+
+let max_exp = 62
 
 type hist = {
   mutable h_count : int;
   mutable h_sum : float;
-  h_buckets : (int, int ref) Hashtbl.t; (* exponent e -> count; ub = 2^e *)
+  h_buckets : int array; (* slot e - min_exp counts bucket ub = 2^e *)
 }
 
 type cell = Counter of int ref | Max_gauge of float ref | Histogram of hist
@@ -44,15 +55,6 @@ let observe_max name v =
   | Some _ -> invalid_arg ("Metrics: " ^ name ^ " is not a gauge")
   | None -> Hashtbl.replace registry name (Max_gauge (ref v))
 
-(* Exponent of the power-of-two bucket containing [v]: the smallest [e]
-   with [v <= 2^e].  Non-positive and non-finite observations clamp to
-   the extreme buckets.  [frexp v = (m, e)] has [v = m * 2^e] with
-   [0.5 <= m < 1], so [v <= 2^e] and, except at exact powers of two
-   (m = 0.5, which belong one bucket down), [v > 2^(e-1)]. *)
-let min_exp = -40 (* 2^-40 s ~ 1 ps: smaller observations merge here *)
-
-let max_exp = 62
-
 let bucket_exp (v : float) : int =
   if not (Float.is_finite v) || v > 4.611686018427387904e18 then max_exp
   else if v <= 0. then min_exp
@@ -67,16 +69,17 @@ let observe_hist name v =
     | Some (Histogram h) -> h
     | Some _ -> invalid_arg ("Metrics: " ^ name ^ " is not a histogram")
     | None ->
-      let h = { h_count = 0; h_sum = 0.; h_buckets = Hashtbl.create 8 } in
+      let h =
+        { h_count = 0; h_sum = 0.;
+          h_buckets = Array.make (max_exp - min_exp + 1) 0 }
+      in
       Hashtbl.replace registry name (Histogram h);
       h
   in
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum +. v;
-  let e = bucket_exp v in
-  match Hashtbl.find_opt h.h_buckets e with
-  | Some r -> Stdlib.incr r
-  | None -> Hashtbl.replace h.h_buckets e (ref 1)
+  let i = bucket_exp v - min_exp in
+  h.h_buckets.(i) <- h.h_buckets.(i) + 1
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots: immutable views for renderers and tests.  Reading never
@@ -95,20 +98,18 @@ type value =
   | Gauge_v of float
   | Histogram_v of hist_snapshot
 
+(* Non-empty buckets only, in bound order. *)
 let snapshot_hist (h : hist) : hist_snapshot =
-  let exps =
-    Hashtbl.fold (fun e r acc -> (e, !r) :: acc) h.h_buckets []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
   let cum = ref 0 in
-  let buckets =
-    List.map
-      (fun (e, n) ->
+  let buckets = ref [] in
+  Array.iteri
+    (fun i n ->
+       if n > 0 then begin
          cum := !cum + n;
-         (Float.ldexp 1. e, !cum))
-      exps
-  in
-  { count = h.h_count; sum = h.h_sum; buckets }
+         buckets := (Float.ldexp 1. (i + min_exp), !cum) :: !buckets
+       end)
+    h.h_buckets;
+  { count = h.h_count; sum = h.h_sum; buckets = List.rev !buckets }
 
 (* Percentile estimate from bucket bounds: the upper bound of the first
    bucket whose cumulative count reaches rank [ceil(p * count)].  Within

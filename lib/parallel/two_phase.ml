@@ -67,9 +67,11 @@ type builder = {
   mutable next : int;
   (* plan node -> id of the segment it executes in (physical identity) *)
   mutable assign : (Exec.Plan.t * int) list;
-  cfg : config;
+  mutable next_node : int; (* preorder id of the next node [walk] enters *)
   cat : Storage.Catalog.t;
-  db : Stats.Table_stats.db;
+  own_work : int -> float; (* own work of the node with this preorder id *)
+  out_rows : int -> float; (* its estimated output rows *)
+  partition_aware : bool;
 }
 
 let new_seg b ~ops ~work ~max_dop ~comm_rows ~deps ~produces =
@@ -97,13 +99,16 @@ let close b (o : open_seg) : segment =
   List.iter (fun n -> b.assign <- (n, s.id) :: b.assign) o.o_nodes;
   s
 
+(* Children are walked in [Exec.Plan.children] order, so [next_node]
+   tracks each node's preorder id and every node adds its own work to
+   exactly one segment. *)
 let rec walk (b : builder) (p : Exec.Plan.t) : open_seg =
-  let work_of q = (fst (Plan_stats.derive b.cfg.params b.cat b.db q)).Plan_stats.work in
-  let rows_of q = (fst (Plan_stats.derive b.cfg.params b.cat b.db q)).Plan_stats.rows in
-  let node_work children = work_of p -. List.fold_left (fun a c -> a +. work_of c) 0. children in
+  let id = b.next_node in
+  b.next_node <- id + 1;
+  let work = b.own_work id in
   let unary name i =
     let o = walk b i in
-    { o with o_ops = o.o_ops @ [ name ]; o_work = o.o_work +. node_work [ i ];
+    { o with o_ops = o.o_ops @ [ name ]; o_work = o.o_work +. work;
       o_nodes = o.o_nodes @ [ p ] }
   in
   match p with
@@ -111,7 +116,7 @@ let rec walk (b : builder) (p : Exec.Plan.t) : open_seg =
     let pages =
       float_of_int (Storage.Table.page_count (Storage.Catalog.table b.cat table))
     in
-    { o_ops = [ "scan " ^ table ]; o_work = work_of p;
+    { o_ops = [ "scan " ^ table ]; o_work = work;
       o_dop = Float.max 1. pages; o_deps = []; o_comm = 0.; o_part = Any;
       o_nodes = [ p ] }
   | Exec.Plan.Filter (_, i) -> unary "filter" i
@@ -121,7 +126,7 @@ let rec walk (b : builder) (p : Exec.Plan.t) : open_seg =
     (* blocking: close the child's pipeline *)
     let closed = close b (walk b i) in
     let name = match p with Exec.Plan.Sort _ -> "sort" | _ -> "materialize" in
-    { o_ops = [ name ]; o_work = node_work [ i ];
+    { o_ops = [ name ]; o_work = work;
       o_dop = closed.max_dop; o_deps = [ closed.id ]; o_comm = 0.;
       o_part = closed.produces; o_nodes = [ p ] }
   | Exec.Plan.Hash_agg { input; keys; _ } | Exec.Plan.Stream_agg { input; keys; _ }
@@ -133,14 +138,14 @@ let rec walk (b : builder) (p : Exec.Plan.t) : open_seg =
            (fun (ke, _) -> match ke with Expr.Col c -> Some c | _ -> None)
            keys)
     in
-    { o_ops = [ "aggregate" ]; o_work = node_work [ input ];
+    { o_ops = [ "aggregate" ]; o_work = work;
       o_dop = closed.max_dop; o_deps = [ closed.id ]; o_comm = 0.;
       o_part = part; o_nodes = [ p ] }
   | Exec.Plan.Nested_loop { outer; inner; _ } ->
     let o = walk b outer in
     let inner_seg = close b (walk b inner) in
     { o_ops = o.o_ops @ [ "nested-loop join" ];
-      o_work = o.o_work +. node_work [ outer; inner ];
+      o_work = o.o_work +. work;
       o_dop = o.o_dop;
       o_deps = o.o_deps @ [ inner_seg.id ];
       o_comm = o.o_comm;
@@ -150,51 +155,65 @@ let rec walk (b : builder) (p : Exec.Plan.t) : open_seg =
     let o = walk b outer in
     { o with
       o_ops = o.o_ops @ [ "index-nl join" ];
-      o_work = o.o_work +. node_work [ outer ];
+      o_work = o.o_work +. work;
       o_nodes = o.o_nodes @ [ p ] }
   | Exec.Plan.Merge_join { pairs; left; right; _ }
   | Exec.Plan.Hash_join { pairs; left; right; _ } ->
     let want_l = On (List.map fst pairs) and want_r = On (List.map snd pairs) in
-    let lo = walk b left and ro = walk b right in
+    let lo = walk b left in
+    let right_id = b.next_node in
+    let ro = walk b right in
     let comm_of have want rows =
-      if b.cfg.partition_aware && compatible have want then 0. else rows
+      if b.partition_aware && compatible have want then 0. else rows
     in
     (* build/right side blocks; probe/left side pipelines into the join *)
     let right_seg =
       close b
         { ro with
           o_ops = ro.o_ops @ [ "build" ];
-          o_comm = ro.o_comm +. comm_of ro.o_part want_r (rows_of right);
+          o_comm = ro.o_comm +. comm_of ro.o_part want_r (b.out_rows right_id);
           o_part = want_r }
     in
     let name =
       match p with Exec.Plan.Merge_join _ -> "merge join" | _ -> "hash join"
     in
     { o_ops = lo.o_ops @ [ name ];
-      o_work = lo.o_work +. node_work [ left; right ];
+      o_work = lo.o_work +. work;
       o_dop = Float.max lo.o_dop 1.;
       o_deps = lo.o_deps @ [ right_seg.id ];
-      o_comm = lo.o_comm +. comm_of lo.o_part want_l (rows_of left);
+      o_comm = lo.o_comm +. comm_of lo.o_part want_l (b.out_rows (id + 1));
       o_part = want_l;
       o_nodes = lo.o_nodes @ [ p ] }
 
-let decompose_assign (cfg : config) cat db (plan : Exec.Plan.t) :
-  segment list * (Exec.Plan.t * int) list =
-  let b = { segs = []; next = 0; assign = []; cfg; cat; db } in
+let decompose_assign (cfg : config) cat ~own_work ~out_rows
+    (plan : Exec.Plan.t) : segment list * (Exec.Plan.t * int) list =
+  let b =
+    { segs = []; next = 0; assign = []; next_node = 0; cat; own_work;
+      out_rows; partition_aware = cfg.partition_aware }
+  in
   let top = walk b plan in
   ignore (close b top);
   (b.segs, b.assign)
 
+(* One estimate pass per plan; segments sum their nodes' own work. *)
 let decompose (cfg : config) cat db (plan : Exec.Plan.t) : segment list =
-  fst (decompose_assign cfg cat db plan)
+  let est = Obs.Est.annotate ~params:cfg.params cat db plan in
+  fst
+    (decompose_assign cfg cat
+       ~own_work:(fun i -> est.(i).Obs.Est.work)
+       ~out_rows:(fun i -> est.(i).Obs.Est.rows)
+       plan)
 
 (* The degree of parallelism each plan node actually runs at: its
    segment's cap, clamped to the processor budget — the same dop the
-   wave scheduler charges that segment with.  Nodes the decomposition
+   wave scheduler charges that segment with.  Caps depend only on scan
+   page counts, so no estimates are derived.  Nodes the decomposition
    does not reach (none today) default to the full budget. *)
-let node_dop (cfg : config) cat db (plan : Exec.Plan.t) :
-  Exec.Plan.t -> int =
-  let segs, assign = decompose_assign cfg cat db plan in
+let node_dop (cfg : config) cat (plan : Exec.Plan.t) : Exec.Plan.t -> int =
+  let segs, assign =
+    decompose_assign cfg cat ~own_work:(fun _ -> 0.) ~out_rows:(fun _ -> 0.)
+      plan
+  in
   let budget = max 1 cfg.processors in
   let seg_dop =
     List.map

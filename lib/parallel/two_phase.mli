@@ -40,19 +40,21 @@ val default_config : config
 
 val compatible : partitioning -> partitioning -> bool
 
-(** Phase-2 segment extraction from a physical plan. *)
+(** Phase-2 segment extraction from a physical plan: one
+    {!Obs.Est.annotate} pass, each segment's [work] the sum of its
+    operators' own work. *)
 val decompose :
   config -> Storage.Catalog.t -> Stats.Table_stats.db -> Exec.Plan.t ->
   segment list
 
-(** [node_dop cfg cat db plan] maps each node of [plan] (by physical
+(** [node_dop cfg cat plan] maps each node of [plan] (by physical
     identity) to the degree of parallelism its segment was scheduled
     at: the segment's [max_dop] cap clamped to [cfg.processors].  The
     morsel executor uses this as its per-node schedule, so phase-2
-    decisions govern the actual intra-operator parallelism. *)
+    decisions govern the actual intra-operator parallelism.  Caps
+    depend only on scan page counts; no estimates are derived. *)
 val node_dop :
-  config -> Storage.Catalog.t -> Stats.Table_stats.db -> Exec.Plan.t ->
-  Exec.Plan.t -> int
+  config -> Storage.Catalog.t -> Exec.Plan.t -> Exec.Plan.t -> int
 
 (** Topological waves of malleable tasks. *)
 val schedule_segments : config -> segment list -> schedule

@@ -239,18 +239,23 @@ and bind_select env (outer : scope list) (s : Ast.select) : Q.block =
         List.map (fun (e, d) -> (bind_expr env scopes e, d)) s.Ast.order_by }
   end
   else begin
-    (* grouped query: normalize onto key/agg aliases *)
+    (* grouped query: normalize onto key/agg aliases; a column key is
+       named by its column, qualified by its relation when an earlier key
+       already took that name (GROUP BY E1.name, E2.name) *)
     let keys =
-      List.map
-        (fun ge ->
+      List.fold_left
+        (fun acc ge ->
            let bound = bind_expr env scopes ge in
+           let free n = not (List.exists (fun (_, a) -> a = n) acc) in
            let name =
              match bound with
-             | Expr.Col c -> c.Expr.col
+             | Expr.Col c when free c.Expr.col -> c.Expr.col
+             | Expr.Col c when free (c.Expr.rel ^ "_" ^ c.Expr.col) ->
+               c.Expr.rel ^ "_" ^ c.Expr.col
              | _ -> Q.fresh_alias "key"
            in
-           (bound, name))
-        s.Ast.group_by
+           acc @ [ (bound, name) ])
+        [] s.Ast.group_by
     in
     let aggs = ref [] in
     let agg_ref fn arg =

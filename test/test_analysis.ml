@@ -371,19 +371,17 @@ let test_est_mutation () =
     | Some p -> p
     | None -> Alcotest.fail "base-table scan was not planned"
   in
-  let corrupted =
-    Analysis.Lint.physical ~est_of:(fun _ -> Some 0.) cat db plan
-  in
+  let est = Obs.Est.annotate cat db plan in
+  let with_rows r = Array.map (fun n -> { n with Obs.Est.rows = r }) est in
+  let corrupted = Analysis.Lint.physical ~est:(with_rows 0.) cat db plan in
   Alcotest.(check bool)
     "zeroed estimator trips est-zero-nonempty" true
     (Verify.Diag.mem ~code:"est-zero-nonempty" corrupted);
-  let inflated =
-    Analysis.Lint.physical ~est_of:(fun _ -> Some 1e12) cat db plan
-  in
+  let inflated = Analysis.Lint.physical ~est:(with_rows 1e12) cat db plan in
   Alcotest.(check bool)
     "inflated estimator trips est-above-envelope" true
     (Verify.Diag.mem ~code:"est-above-envelope" inflated);
-  let honest = Analysis.Lint.physical cat db plan in
+  let honest = Analysis.Lint.physical ~est cat db plan in
   Alcotest.(check int) "honest estimator is clean on an exact-stats scan" 0
     (List.length honest)
 

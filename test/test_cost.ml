@@ -126,7 +126,7 @@ let test_of_counters () =
   Alcotest.(check (float 1e-9)) "weighted"
     ((10. +. 2.) *. 1.0 +. (5. *. 4.0) +. (1000. *. 0.001)) c
 
-(* ---------- plan stats derivation (parallel's sizing) ---------- *)
+(* ---------- per-node estimates (Obs.Est, parallel's sizing) ---------- *)
 
 let test_plan_stats_rows () =
   let w = Workload.Schemas.emp_dept ~emps:2000 ~depts:40 () in
@@ -139,13 +139,21 @@ let test_plan_stats_rows () =
         left = Exec.Plan.Seq_scan { table = "Emp"; alias = "Emp"; filter = None };
         right = Exec.Plan.Seq_scan { table = "Dept"; alias = "Dept"; filter = None } }
   in
-  let est, _ = Parallel.Plan_stats.derive Cm.default_params cat db plan in
+  let est = Obs.Est.annotate cat db plan in
+  let root = est.(0) in
   (* FK join: roughly one row out per Emp row *)
   Alcotest.(check bool)
-    (Printf.sprintf "join rows %.0f ~ 2000" est.Parallel.Plan_stats.rows)
+    (Printf.sprintf "join rows %.0f ~ 2000" root.Obs.Est.rows)
     true
-    (est.Parallel.Plan_stats.rows > 500. && est.Parallel.Plan_stats.rows < 8000.);
-  Alcotest.(check bool) "work positive" true (est.Parallel.Plan_stats.work > 0.)
+    (root.Obs.Est.rows > 500. && root.Obs.Est.rows < 8000.);
+  Alcotest.(check bool) "work positive" true (root.Obs.Est.work > 0.);
+  (* own work, children excluded: the join prices only the join itself *)
+  let emp = est.(1) and dept = est.(2) in
+  Alcotest.(check (float 1e-9)) "hash join own work"
+    (Cm.hash_join Cm.default_params ~left_rows:emp.Obs.Est.rows
+       ~right_rows:dept.Obs.Est.rows ~left_pages:emp.Obs.Est.pages
+       ~right_pages:dept.Obs.Est.pages ~out_rows:root.Obs.Est.rows)
+    root.Obs.Est.work
 
 let () =
   Alcotest.run "cost"

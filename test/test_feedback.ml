@@ -197,6 +197,36 @@ let test_histogram_mode_untouched () =
   Alcotest.(check int) "no feedback events under `Histogram" 0
     (count_events (fun e -> is_override e || is_recorded e) reps)
 
+(* The provable-bound lint judges the estimates the report shows —
+   feedback overrides included.  A cached "actual" far above the table's
+   row count is what the planner and EXPLAIN ANALYZE use, so the lint
+   must flag it against the analyzer's envelope. *)
+let test_lint_judges_feedback_estimates () =
+  let cat, db = emp_dept () in
+  let fb = FB.create () in
+  let config =
+    { P.default_config with estimator = `Feedback fb; instrument = true }
+  in
+  let sql = "SELECT Emp.name FROM Emp WHERE Emp.sal > 60000" in
+  let q = Sql.Binder.query_of_string cat sql in
+  let _, reps = P.run_query ~config cat db q in
+  let plan = Option.get (List.hd reps).P.plan in
+  (* the scan under the projection: preorder id 1 *)
+  let key, tables =
+    Option.get (Obs.Est.annotate ~feedback:fb cat db plan).(1).Obs.Est.fb_key
+  in
+  FB.record fb ~db ~tables key 1e9;
+  let _, reps =
+    P.run_query ~config:{ config with analysis = true } cat db q
+  in
+  let r = List.hd reps in
+  Alcotest.(check bool) "report shows the overridden estimate" true
+    (List.exists
+       (fun (o : Exec.Instrument.op) -> o.Exec.Instrument.est_rows = Some 1e9)
+       r.P.op_stats);
+  Alcotest.(check bool) "lint flags it above the envelope" true
+    (Verify.Diag.mem ~code:"est-above-envelope" r.P.diags)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -215,4 +245,6 @@ let () =
           Alcotest.test_case "append invalidates" `Quick
             test_append_invalidates_feedback;
           Alcotest.test_case "histogram mode untouched" `Quick
-            test_histogram_mode_untouched ] ) ]
+            test_histogram_mode_untouched;
+          Alcotest.test_case "lint judges feedback estimates" `Quick
+            test_lint_judges_feedback_estimates ] ) ]

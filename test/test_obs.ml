@@ -218,12 +218,12 @@ let test_trace_events_off_by_default () =
          (List.length r.Core.Pipeline.op_stats))
     reports
 
-(* Regression: per-node estimates must be re-synthesized from the
-   plan-time statistics snapshot ([report.stats_at_plan]), not the live
-   registry.  [Obs.Est.annotate] rebuilds index-scan bound selectivities
-   and scan cardinalities from whatever stats it is handed — against a
-   registry refreshed after planning it reports numbers the planner
-   never produced. *)
+(* Regression: per-node estimates are the ones derived at plan time.
+   [Obs.Est.annotate] rebuilds index-scan bound selectivities and scan
+   cardinalities from whatever stats it is handed — against a registry
+   refreshed after planning it reports numbers the planner never
+   produced — so the pipeline annotates before execution and a later
+   ANALYZE refresh must leave the report untouched. *)
 let test_annotate_uses_plan_time_stats () =
   let cat, db = emp_dept () in
   let sql =
@@ -234,7 +234,13 @@ let test_annotate_uses_plan_time_stats () =
   let _, reports = Core.Pipeline.run_query ~config cat db q in
   let r = List.hd reports in
   let plan = Option.get r.Core.Pipeline.plan in
-  let snap = Option.get r.Core.Pipeline.stats_at_plan in
+  let est_rows () =
+    List.map
+      (fun (o : Exec.Instrument.op) -> o.Exec.Instrument.est_rows)
+      r.Core.Pipeline.op_stats
+  in
+  let planned = est_rows () in
+  let before = Hashtbl.copy db in
   (* grow the table and refresh the live registry behind the plan's back *)
   let t = Storage.Catalog.table cat "Emp" in
   for i = 0 to 399 do
@@ -245,19 +251,14 @@ let test_annotate_uses_plan_time_stats () =
   done;
   Hashtbl.replace db "Emp" (Stats.Table_stats.analyze t);
   let against dbx =
-    let est = Obs.Est.annotate cat dbx plan in
-    List.map
-      (fun (o : Exec.Instrument.op) -> Obs.Est.card est o.Exec.Instrument.node)
-      r.Core.Pipeline.op_stats
+    Array.to_list
+      (Array.map (fun n -> Some n.Obs.Est.rows) (Obs.Est.annotate cat dbx plan))
   in
-  let planned =
-    List.map
-      (fun (o : Exec.Instrument.op) -> o.Exec.Instrument.est_rows)
-      r.Core.Pipeline.op_stats
-  in
-  Alcotest.(check bool) "snapshot annotation reproduces planner estimates"
+  Alcotest.(check bool) "report estimates unchanged by the refresh" true
+    (est_rows () = planned);
+  Alcotest.(check bool) "report estimates = annotation against plan-time stats"
     true
-    (against snap = planned);
+    (against before = planned);
   Alcotest.(check bool) "live-registry annotation diverges after refresh"
     true
     (against db <> planned)
@@ -469,6 +470,23 @@ let test_hist_clamping () =
     Alcotest.(check int) "final cumulative = count" 4
       (snd (List.nth h.Obs.Metrics.buckets
               (List.length h.Obs.Metrics.buckets - 1)))
+
+(* Buckets are allocated with the histogram: the first observation of a
+   new exponent allocates no more than one into a used bucket, so
+   allocation does not depend on the latencies observed. *)
+let test_hist_alloc_flat () =
+  Obs.Metrics.reset ();
+  let name = "test_alloc" in
+  Obs.Metrics.observe_hist name 1.0;
+  let words v =
+    let w0 = Gc.minor_words () in
+    Obs.Metrics.observe_hist name v;
+    Gc.minor_words () -. w0
+  in
+  let used = words 1.0 in
+  let unused = words 1e6 in
+  Alcotest.(check (float 0.)) "unused bucket allocates like a used one" used
+    unused
 
 let hist_seq = ref 0
 
@@ -711,6 +729,8 @@ let () =
       ( "metrics",
         [ Alcotest.test_case "histogram buckets" `Quick test_hist_buckets;
           Alcotest.test_case "histogram clamping" `Quick test_hist_clamping;
+          Alcotest.test_case "histogram allocation flat" `Quick
+            test_hist_alloc_flat;
           QCheck_alcotest.to_alcotest prop_percentile_monotone;
           Alcotest.test_case "prometheus exposition" `Quick
             test_prometheus_render;
